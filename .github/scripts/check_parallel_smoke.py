@@ -2,15 +2,18 @@
 
 Reads the artifacts the preceding workflow steps produced:
 
-- ``serial.txt``   — serial, cache-disabled report (the reference)
+- ``serial.txt``   — serial, cache-disabled report (the reference) +
+  ``serial.json`` metrics
 - ``parallel.txt`` — cold ``--jobs 2`` report + ``cold.json`` metrics
 - ``warm.txt``     — warm rerun report + ``warm.json`` metrics
 
-and asserts the parallel harness's two contracts:
+and asserts the parallel harness's three contracts:
 
 1. every report is byte-identical to the serial reference;
 2. the warm rerun served >= 90 % of its stages from the persistent
-   cache (it should be 100 %: zero fresh ``harness.stage_runs``).
+   cache (it should be 100 %: zero fresh ``harness.stage_runs``);
+3. the interpreter ran once per benchmark (``harness.executions``) in
+   the serial and the cold sharded run, and not at all in the warm one.
 """
 
 import json
@@ -36,6 +39,12 @@ def main():
 
     cold = counters("cold.json")
     hot = counters("warm.json")
+    for path, expected in (("serial.json", N_BENCHMARKS),
+                           ("cold.json", N_BENCHMARKS), ("warm.json", 0)):
+        executions = counters(path).get("harness.executions")
+        if executions != expected:
+            sys.exit("FAIL: %s records %s interpreter executions, "
+                     "expected %d" % (path, executions, expected))
     total = N_BENCHMARKS * N_STAGES
     if cold.get("harness.stage_runs", 0) != total:
         sys.exit("FAIL: cold run executed %s fresh stages, expected %d"
@@ -50,8 +59,9 @@ def main():
         sys.exit("FAIL: warm rerun had only %d disk hits of %d stages"
                  % (disk_hits, total))
 
-    print("OK: reports byte-identical; warm rerun: %d fresh stage runs, "
-          "%d/%d disk hits" % (fresh, disk_hits, total))
+    print("OK: reports byte-identical; one execution per benchmark; "
+          "warm rerun: %d fresh stage runs, %d/%d disk hits"
+          % (fresh, disk_hits, total))
 
 
 if __name__ == "__main__":

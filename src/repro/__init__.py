@@ -35,7 +35,7 @@ from repro.core import (
     load_tea,
     save_tea,
 )
-from repro.cpu import Executor, Machine, run_program
+from repro.cpu import ExecutionLog, Executor, Machine, run_program
 from repro.dbt import CodeCache, CostModel, CostParameters, StarDBT
 from repro.errors import ReproError
 from repro.isa import Program, assemble
@@ -66,6 +66,7 @@ __all__ = [
     "Program",
     "Machine",
     "Executor",
+    "ExecutionLog",
     "run_program",
     # traces
     "TraceSet",

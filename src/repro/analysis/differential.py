@@ -13,10 +13,9 @@ replay/optimization run on it.
 """
 
 from repro.cfg.basic_block import BlockIndex
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
 from repro.core.builder import build_tea
 from repro.core.replay import ReplayConfig, TeaReplayer
-from repro.cpu import Executor
+from repro.cpu.log import ExecutionLog
 from repro.errors import TeaError
 
 
@@ -119,21 +118,9 @@ def check_equivalence(program, trace_set, tea=None, config=None,
     Returns the :class:`DifferentialChecker` with its verdict.
     """
     checker = DifferentialChecker(trace_set, tea=tea, config=config)
-    builder = DynamicBlockBuilder(
-        BlockIndex(program), program.entry, flavor=FLAVOR_STARDBT,
-        on_transition=checker.on_transition,
-    )
-    executor = Executor(program, max_instructions=max_instructions)
-    consumed = [0, 0]
-
-    def on_event(event):
-        consumed[0] += event.instrs_dbt
-        consumed[1] += event.instrs_pin
-        builder.feed(event)
-
-    result = executor.run(on_event)
-    builder.flush(result.final_pc, result.instrs_dbt - consumed[0],
-                  result.instrs_pin - consumed[1])
+    log = ExecutionLog.record(program, max_instructions)
+    for transition in log.block_transitions():
+        checker.on_transition(transition)
     return checker
 
 
@@ -223,21 +210,9 @@ def check_minimization(program, trace_set, original, minimized,
     """
     checker = MinimizationChecker(trace_set, original, minimized,
                                   config=config, lossy=lossy)
-    builder = DynamicBlockBuilder(
-        BlockIndex(program), program.entry, flavor=FLAVOR_STARDBT,
-        on_transition=checker.on_transition,
-    )
-    executor = Executor(program, max_instructions=max_instructions)
-    consumed = [0, 0]
-
-    def on_event(event):
-        consumed[0] += event.instrs_dbt
-        consumed[1] += event.instrs_pin
-        builder.feed(event)
-
-    result = executor.run(on_event)
-    builder.flush(result.final_pc, result.instrs_dbt - consumed[0],
-                  result.instrs_pin - consumed[1])
+    log = ExecutionLog.record(program, max_instructions)
+    for transition in log.block_transitions():
+        checker.on_transition(transition)
     return checker
 
 

@@ -8,7 +8,9 @@ StarDBT counts a REP-prefixed instruction once, Pin counts every iteration.
 
 Every higher layer (the DBT, MiniPin, trace recorders, the TEA replayer)
 consumes this event stream rather than re-executing instructions, so all
-engines observe the identical dynamic control flow.
+engines observe the identical dynamic control flow.  An
+:class:`ExecutionLog` records the stream once, with its StarDBT-flavour
+block transitions, so several engines can share one execution.
 """
 
 from repro.cpu.events import (
@@ -22,6 +24,7 @@ from repro.cpu.events import (
     EdgeEvent,
 )
 from repro.cpu.executor import ExecutionResult, Executor, run_program
+from repro.cpu.log import ExecutionLog
 from repro.cpu.machine import Machine
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "EDGE_IND_JMP",
     "EDGE_IND_CALL",
     "EDGE_SPLIT",
+    "ExecutionLog",
     "ExecutionResult",
     "Executor",
     "Machine",

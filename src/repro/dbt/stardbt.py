@@ -19,9 +19,8 @@ edges and the cycle back to the trace head are direct jumps; leaving a
 trace returns to translated cold code.
 """
 
-from repro.cfg.basic_block import BlockIndex
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
-from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
+from repro.cpu.log import ExecutionLog
 from repro.dbt.code_cache import CodeCache
 from repro.dbt.cost import CostModel, CostParameters
 from repro.traces import make_recorder
@@ -83,7 +82,6 @@ class StarDBT:
                  recorder_kwargs=None):
         self.program = program
         self.strategy = strategy
-        self.block_index = BlockIndex(program)
         self.cost = CostModel(cost_params or CostParameters())
         self.code_cache = CodeCache(memory_model=memory_model)
         kwargs = dict(recorder_kwargs or {})
@@ -152,31 +150,18 @@ class StarDBT:
 
     # ------------------------------------------------------------------
 
-    def run(self):
-        """Execute the program under the DBT; returns :class:`DBTResult`."""
-        executor = Executor(
-            self.program, max_instructions=self.max_instructions
-        )
-        builder = DynamicBlockBuilder(
-            self.block_index, self.program.entry, flavor=FLAVOR_STARDBT
-        )
-        consumed = [0, 0]
+    def run(self, log=None):
+        """Execute the program under the DBT; returns :class:`DBTResult`.
 
-        def on_event(event):
-            consumed[0] += event.instrs_dbt
-            consumed[1] += event.instrs_pin
-            transition = builder.feed(event)
-            if transition is not None:
-                self._handle(transition)
-
-        result = executor.run(on_event)
-        final = builder.flush(
-            result.final_pc,
-            result.instrs_dbt - consumed[0],
-            result.instrs_pin - consumed[1],
-        )
-        self._handle(final)
+        ``log`` is an :class:`~repro.cpu.log.ExecutionLog` of this
+        program and budget; when omitted, one is recorded first.
+        """
+        log = ExecutionLog.resolve(log, self.program, self.max_instructions)
+        handle = self._handle
+        for transition in log.block_transitions():
+            handle(transition)
         trace_set = self.recorder.finish()
+        result = log.result
         return DBTResult(
             trace_set,
             self.code_cache,

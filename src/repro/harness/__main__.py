@@ -87,7 +87,8 @@ def _parse_args(argv):
     parser.add_argument(
         "--metrics-out",
         help="write the harness observability snapshot (JSON) here — "
-             "stage timers, stage_runs, cache hit/miss counters",
+             "stage timers, stage_runs, executions, cache hit/miss "
+             "counters",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress messages"
@@ -154,6 +155,9 @@ def main(argv=None):
     else:
         selected = []
     try:
+        if args.what == "all":
+            # Benchmark-major, so each benchmark executes once.
+            runner.prefetch()
         for table_name in selected:
             table = TABLES[table_name](runner)
             sections.append(

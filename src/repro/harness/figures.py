@@ -10,10 +10,9 @@ assert the exact automaton structure.
 """
 
 from repro.cfg import BlockIndex, build_cfg
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
 from repro.core import build_tea, duplicate_trace
 from repro.core.replay import ReplayConfig, TeaReplayer
-from repro.cpu import Executor
+from repro.cpu.log import ExecutionLog
 from repro.traces.model import TraceSet
 from repro.workloads import figure1_program, figure2_program
 
@@ -151,24 +150,15 @@ def render_figure3(demo_steps=12):
         "Replaying the first %d block transitions through the TEA:" % demo_steps,
     ]
     replayer = TeaReplayer(tea, config=ReplayConfig.global_local())
-    block_index = BlockIndex(program)
     steps = []
-
-    def on_transition(transition):
+    for transition in ExecutionLog.record(program).block_transitions():
         if len(steps) >= demo_steps or transition.next_start is None:
-            return
+            break
         state = replayer.step(transition)
         steps.append(
             "  pc=%#x executed, next=%#x -> state %s"
             % (transition.block.start, transition.next_start, state.name)
         )
-
-    builder = DynamicBlockBuilder(
-        block_index, program.entry, flavor=FLAVOR_STARDBT,
-        on_transition=on_transition,
-    )
-    executor = Executor(program)
-    executor.run(builder.feed)
     sections.extend(steps)
     return "\n".join(sections)
 

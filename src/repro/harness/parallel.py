@@ -13,7 +13,8 @@ benchmarks share nothing.
 Each worker builds a private serial :class:`Runner` (workloads are
 generated from the spec's own deterministic seed, so every worker
 reproduces bit-identical programs no matter the host or schedule),
-computes the requested stage *summaries*, and ships back
+executes the benchmark once into an execution log that all its stages
+share, computes the requested stage *summaries*, and ships back
 ``(name, summaries, metrics snapshot)``.  The parent
 
 - merges the per-worker registries into one via
@@ -95,6 +96,7 @@ class ParallelRunner(SummaryProvider):
         self.cache = cache
         self.progress = progress
         self.obs = obs if obs is not None else Observability()
+        self.obs.metrics.counter("harness.executions")
         self._summaries = {}
         self._prefetched = False
 

@@ -6,6 +6,14 @@ Table 2's run).  The :class:`Runner` memoises every (benchmark, engine,
 configuration) result so ``python -m repro.harness all`` does the minimum
 amount of simulation.
 
+Every stage of a benchmark observes the same deterministic execution,
+so the interpreter runs **once per benchmark**: :meth:`Runner.execution_log`
+records an :class:`~repro.cpu.log.ExecutionLog` (``harness.execute``
+timer, ``harness.executions`` counter) and the native, DBT, bare-Pin,
+replay and record stages all consume it.  The runner holds the latest
+benchmark's log only; :meth:`Runner.prefetch` walks benchmark-major so
+a full report never has to record a benchmark twice.
+
 Two layers of caching:
 
 - **heavy artifacts** (full ``PinResult``/``DBTResult`` objects plus
@@ -29,6 +37,7 @@ fraction of the run, as in the paper.
 
 from repro.core import MemoryModel, ReplayConfig
 from repro.core.replay import REPLAY_ENGINES
+from repro.cpu.log import ExecutionLog
 from repro.dbt import StarDBT
 from repro.harness.cache import stage_key
 from repro.obs import Observability
@@ -157,8 +166,10 @@ class Runner(SummaryProvider):
         self.config = config or HarnessConfig()
         self.progress = progress
         self.obs = obs if obs is not None else Observability()
+        self.obs.metrics.counter("harness.executions")
         self.cache = cache
         self._workloads = {}
+        self._execution = None  # (benchmark, ExecutionLog), latest only
         self._native = {}
         self._dbt = {}
         self._replay = {}
@@ -203,19 +214,42 @@ class Runner(SummaryProvider):
             self._workloads[name] = found
         return found
 
+    def execution_log(self, name):
+        """``name``'s :class:`~repro.cpu.log.ExecutionLog`, shared by
+        all its stages.
+
+        Recorded once under the ``harness.execute`` timer and counted
+        in ``harness.executions``.  Only the latest benchmark's log is
+        held: asking for another benchmark drops it first, so memory
+        does not grow with the benchmark count.
+        """
+        held = self._execution
+        if held is not None and held[0] == name:
+            return held[1]
+        # Drop the previous log before recording, so two never coexist.
+        self._execution = held = None
+        program = self.workload(name).program
+        metrics = self.obs.metrics
+        with metrics.timer("harness.execute"):
+            log = ExecutionLog.record(program, self.config.max_instructions)
+        metrics.counter("harness.executions").inc()
+        self._execution = (name, log)
+        return log
+
     def native(self, name):
         """Native run (the Table 4 baseline)."""
         found = self._native.get(name)
         timer = self._stage("native", cached=found is not None)
         if found is None:
             self._log("%s: native" % name)
-            # Load the workload before entering the stage timer so
-            # harness.native does not double-count harness.workload time.
-            program = self.workload(name).program
+            # Record before entering the stage timer so harness.native
+            # does not double-count harness.workload/execute time.
+            log = self.execution_log(name)
             with timer:
                 found = run_native(
-                    program,
+                    log.program,
                     max_instructions=self.config.max_instructions,
+                    log=log,
                 )
             self._native[name] = found
         return found
@@ -227,15 +261,16 @@ class Runner(SummaryProvider):
         timer = self._stage("dbt", cached=found is not None)
         if found is None:
             self._log("%s: DBT %s" % (name, strategy))
+            log = self.execution_log(name)
             runtime = StarDBT(
-                self.workload(name).program,
+                log.program,
                 strategy=strategy,
                 limits=self.config.limits(),
                 memory_model=self.config.memory_model,
                 max_instructions=self.config.max_instructions,
             )
             with timer:
-                found = runtime.run()
+                found = runtime.run(log)
             self._dbt[key] = found
         return found
 
@@ -245,13 +280,13 @@ class Runner(SummaryProvider):
         timer = self._stage("pin_without_tool", cached=found is not None)
         if found is None:
             self._log("%s: pin (no tool)" % name)
-            program = self.workload(name).program
+            log = self.execution_log(name)
             with timer:
                 found = Pin(
-                    program,
+                    log.program,
                     tool=None,
                     max_instructions=self.config.max_instructions,
-                ).run()
+                ).run(log)
             self._pin_only[name] = found
         return found
 
@@ -261,14 +296,14 @@ class Runner(SummaryProvider):
         timer = self._stage("replay_empty", cached=found is not None)
         if found is None:
             self._log("%s: TEA empty" % name)
-            program = self.workload(name).program
+            log = self.execution_log(name)
             tool = TeaReplayTool(trace_set=None, engine=self.config.engine)
             with timer:
                 result = Pin(
-                    program,
+                    log.program,
                     tool=tool,
                     max_instructions=self.config.max_instructions,
-                ).run()
+                ).run(log)
             found = (result, tool)
             self._empty[name] = found
         return found
@@ -281,17 +316,17 @@ class Runner(SummaryProvider):
         if found is None:
             self._log("%s: TEA replay %s" % (name, config_key))
             trace_set = self.dbt(name, "mret").trace_set
-            program = self.workload(name).program
+            log = self.execution_log(name)
             tool = TeaReplayTool(
                 trace_set=trace_set, config=REPLAY_CONFIGS[config_key](),
                 engine=self.config.engine,
             )
             with timer:
                 result = Pin(
-                    program,
+                    log.program,
                     tool=tool,
                     max_instructions=self.config.max_instructions,
-                ).run()
+                ).run(log)
             found = (result, tool)
             self._replay[key] = found
         return found
@@ -302,14 +337,14 @@ class Runner(SummaryProvider):
         timer = self._stage("record", cached=found is not None)
         if found is None:
             self._log("%s: TEA record" % name)
-            program = self.workload(name).program
+            log = self.execution_log(name)
             tool = TeaRecordTool(strategy="mret", limits=self.config.limits())
             with timer:
                 result = Pin(
-                    program,
+                    log.program,
                     tool=tool,
                     max_instructions=self.config.max_instructions,
-                ).run()
+                ).run(log)
             found = (result, tool)
             self._record[name] = found
         return found
@@ -344,6 +379,21 @@ class Runner(SummaryProvider):
     # ------------------------------------------------------------------
     # stage summaries (what the table builders consume)
     # ------------------------------------------------------------------
+
+    def prefetch(self, benchmarks=None, stages=None):
+        """Materialise summaries for ``benchmarks`` x ``stages``.
+
+        Walks benchmark-major, so each benchmark that needs simulating
+        executes once (table-by-table rendering would revisit each
+        benchmark per table, after its log was dropped).  Same
+        signature as :meth:`ParallelRunner.prefetch`; returns ``self``.
+        """
+        names = list(benchmarks) if benchmarks else self.config.benchmarks
+        wanted = list(stages) if stages else list(STAGES)
+        for name in names:
+            for stage in wanted:
+                self.summary(name, stage)
+        return self
 
     def summary(self, name, stage):
         """The JSON-able summary for one ``(benchmark, stage)`` pair.

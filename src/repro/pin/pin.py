@@ -1,8 +1,9 @@
 """The MiniPin engine.
 
-Runs a program on the interpreter while (a) charging Pin's own overheads
-per the cost model and (b) delivering StarDBT-flavour block transitions
-to the attached pintool.  Engine overheads, per the cost-model docs:
+Walks a program's :class:`~repro.cpu.log.ExecutionLog` (recording one
+when the caller has none) while (a) charging Pin's own overheads per the
+cost model and (b) delivering StarDBT-flavour block transitions to the
+attached pintool.  Engine overheads, per the cost-model docs:
 
 - ``PIN_BLOCK_STUB`` per *Pin-flavour* dynamic block (splits at
   cpuid/REP), modelling code-cache block dispatch;
@@ -15,10 +16,9 @@ which is what makes our Table 2/3 coverages differ slightly from the
 DBT's — the Section 4.1 effect.
 """
 
-from repro.cfg.basic_block import BlockIndex
-from repro.cfg.builder import FLAVOR_STARDBT, DynamicBlockBuilder
 from repro.cpu.events import EDGE_IND_CALL, EDGE_IND_JMP, EDGE_RET
-from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
+from repro.cpu.log import ExecutionLog
 from repro.dbt.cost import CostModel, CostParameters
 
 _INDIRECT_KINDS = (EDGE_IND_JMP, EDGE_IND_CALL, EDGE_RET)
@@ -75,18 +75,21 @@ class Pin:
         self.program = program
         self.tool = tool
         self.cost = CostModel(cost_params or CostParameters())
-        self.block_index = BlockIndex(program)
         self.max_instructions = max_instructions
         self.obs = obs
         self._seen_block_ends = set()
 
-    def run(self):
-        """Execute under instrumentation; returns :class:`PinResult`."""
+    def run(self, log=None):
+        """Execute under instrumentation; returns :class:`PinResult`.
+
+        ``log`` is an :class:`~repro.cpu.log.ExecutionLog` of this
+        program and budget; when omitted, one is recorded first.
+        """
         obs = self.obs
         if obs is None:
-            return self._run()
+            return self._run(log)
         with obs.metrics.timer("pin.run"):
-            result = self._run()
+            result = self._run(log)
         metrics = obs.metrics
         metrics.counter("pin.runs").inc()
         metrics.counter("pin.blocks").inc(result.blocks)
@@ -96,76 +99,65 @@ class Pin:
         metrics.counter("pin.instructions_pin").inc(result.instrs_pin)
         return result
 
-    def _run(self):
+    def _run(self, log):
+        log = ExecutionLog.resolve(log, self.program, self.max_instructions,
+                                   obs=self.obs)
         cost = self.cost
         params = cost.params
+        stub = params.PIN_BLOCK_STUB
+        per_instr = params.PIN_TRANSLATION_PER_INSTR
+        indirect_extra = params.PIN_INDIRECT_EXTRA
+        charge = cost.charge
+        charge_instructions = cost.charge_instructions
         tool = self.tool
         if tool is not None:
             tool.attach(self)
-
-        builder = DynamicBlockBuilder(
-            self.block_index, self.program.entry, flavor=FLAVOR_STARDBT
-        )
-        executor = Executor(self.program, max_instructions=self.max_instructions,
-                            obs=self.obs)
-        consumed = [0, 0]
-        pin_blocks = [0]
-        indirects = [0]
+        indirects = 0
         seen_ends = self._seen_block_ends
         deliver = tool.on_transition if tool is not None else None
 
-        def on_event(event):
-            consumed[0] += event.instrs_dbt
-            consumed[1] += event.instrs_pin
-            # Engine-side costs are per Pin-flavour block: every event
-            # (control transfer or splitter) ends one.
-            pin_blocks[0] += 1
-            cost.charge("pin_dispatch", params.PIN_BLOCK_STUB)
+        # Engine-side costs are per Pin-flavour block: every event
+        # (control transfer or splitter) ends one.
+        for event, transition in zip(log.events, log.transitions):
+            charge("pin_dispatch", stub)
             if event.pc not in seen_ends:
                 seen_ends.add(event.pc)
-                cost.charge(
-                    "pin_translation",
-                    params.PIN_TRANSLATION_PER_INSTR * event.instrs_dbt,
-                )
+                charge("pin_translation", per_instr * event.instrs_dbt)
             if event.kind in _INDIRECT_KINDS:
-                indirects[0] += 1
-                cost.charge("pin_indirect", params.PIN_INDIRECT_EXTRA)
-            cost.charge_instructions(event.instrs_pin)
-            transition = builder.feed(event)
+                indirects += 1
+                charge("pin_indirect", indirect_extra)
+            charge_instructions(event.instrs_pin)
             if transition is not None and deliver is not None:
                 deliver(transition)
 
-        result = executor.run(on_event)
-        residual_dbt = result.instrs_dbt - consumed[0]
-        residual_pin = result.instrs_pin - consumed[1]
-        cost.charge_instructions(residual_pin)
-        final = builder.flush(result.final_pc, residual_dbt, residual_pin)
+        charge_instructions(log.residual_pin)
         if deliver is not None:
-            deliver(final)
+            deliver(log.final)
         if tool is not None:
             tool.on_finish()
         if self.obs is not None:
-            self.obs.metrics.counter("pin.indirect_edges").inc(indirects[0])
+            self.obs.metrics.counter("pin.indirect_edges").inc(indirects)
+        result = log.result
         return PinResult(
             cost,
             result.instrs_dbt,
             result.instrs_pin,
-            pin_blocks[0] + 1,
+            len(log.events) + 1,
             tool,
             result.halted,
         )
 
 
 def run_native(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-               cost_params=None):
+               cost_params=None, log=None):
     """Native baseline: the program alone, one cycle per instruction.
 
     Returns a :class:`PinResult`-shaped object so harness code can treat
-    every configuration uniformly.
+    every configuration uniformly.  ``log`` is an optional
+    :class:`~repro.cpu.log.ExecutionLog` of this program and budget.
     """
+    result = ExecutionLog.resolve(log, program, max_instructions).result
     cost = CostModel(cost_params or CostParameters())
-    executor = Executor(program, max_instructions=max_instructions)
-    result = executor.run(None)
     cost.charge_instructions(result.instrs_pin)
     return PinResult(
         cost, result.instrs_dbt, result.instrs_pin, result.edges + 1, None,

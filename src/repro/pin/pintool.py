@@ -4,9 +4,9 @@ A pintool registers interest in block transitions; MiniPin calls
 ``on_transition`` for every completed dynamic basic block (StarDBT
 flavour — taken/fall-through edges, per the Section 4.1 workaround) and
 ``on_finish`` once at program end.  ``attach`` hands the tool the engine
-so it can reach the shared cost model, the block index and the program
-image — analysis work the tool performs must be charged to that cost
-model, the way real analysis routines cost real cycles.
+so it can reach the shared cost model and the program image — analysis
+work the tool performs must be charged to that cost model, the way real
+analysis routines cost real cycles.
 """
 
 

@@ -36,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro import __version__
 from repro.cfg.basic_block import BlockIndex
 from repro.core import ReplayConfig
+from repro.cpu.log import ExecutionLog
 from repro.errors import ReproError, SerializationError, VerificationError
 from repro.obs import Observability
 from repro.pin import Pin, TeaReplayTool, run_native
@@ -850,11 +851,15 @@ class TeaService:
                       else None),
             jit=jit,
         )
-        result = Pin(entry.program, tool=tool).run()
+        # One execution per request, shared with the native baseline;
+        # the log is dropped with the request, so preloaded snapshots
+        # cost no memory between replays.
+        log = ExecutionLog.record(entry.program)
+        result = Pin(entry.program, tool=tool).run(log)
         stats = tool.stats.as_dict()
         if entry._native_cycles is None:
             # Benign race: concurrent firsts compute the same number.
-            entry._native_cycles = run_native(entry.program).cycles
+            entry._native_cycles = run_native(entry.program, log=log).cycles
         native = entry._native_cycles
         return {
             "coverage_pin": tool.stats.coverage(pin_counting=True),

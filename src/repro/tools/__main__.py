@@ -34,6 +34,7 @@ import sys
 
 from repro.cfg.basic_block import BlockIndex
 from repro.core import MemoryModel, ReplayConfig, TeaProfile
+from repro.cpu.log import ExecutionLog
 from repro.dbt import StarDBT
 from repro.errors import ReproError
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -110,8 +111,9 @@ def _cmd_replay(args):
         link_traces=args.link_traces,
         engine=args.engine,
     )
-    result = Pin(program, tool=tool).run()
-    native = run_native(program)
+    log = ExecutionLog.record(program)
+    result = Pin(program, tool=tool).run(log)
+    native = run_native(program, log=log)
     stats = tool.stats
     print("loaded %d traces; TEA: %d states, %d transitions"
           % (len(trace_set), tool.tea.n_states, tool.tea.n_transitions))

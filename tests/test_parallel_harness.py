@@ -249,11 +249,15 @@ def test_stage_runs_equals_total_timer_counts():
     runner = Runner(small_config())
     render_everything(runner)
     snap = runner.metrics_snapshot()["metrics"]
+    # Loading a workload and recording its execution log are not stages.
     stage_timer_counts = sum(
         timing["count"] for name, timing in snap["timers"].items()
-        if name.startswith("harness.") and name != "harness.workload"
+        if name.startswith("harness.")
+        and name not in ("harness.workload", "harness.execute")
     )
     assert snap["counters"]["harness.stage_runs"] == stage_timer_counts
+    assert (snap["counters"]["harness.executions"]
+            == snap["timers"]["harness.execute"]["count"])
 
 
 def test_unknown_stage_rejected():

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import build_tea
 from repro.dbt import StarDBT
-from repro.pin import Pin, TeaReplayTool
+from repro.pin import Pin, TeaReplayTool, run_native
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     E_METHOD,
@@ -165,6 +165,10 @@ def test_replay_matches_in_process_replay(shared_service, world):
     assert served["cycles"] == direct_result.cycles
     assert served["states"] == world.tea.n_states
     assert served["slowdown"] > 1.0
+    # The native baseline comes from the replay's own execution log.
+    native = run_native(world.program).cycles
+    assert served["native_cycles"] == native
+    assert served["slowdown"] == direct_result.cycles / native
 
     # The object engine walks the TeaState graph instead; transition
     # accounting is identical, only float charge interleaving differs.
