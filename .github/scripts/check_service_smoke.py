@@ -14,7 +14,10 @@ way an operator would run it):
    accounting and coverage (cycles only up to float tolerance — the
    Pin block-stub charge interleaves differently between engines);
 5. assert the ``stats`` RPC counters add up (requests == ok + errors,
-   per-method counts == what we sent);
+   per-method counts == what we sent), and that the single-flight memo
+   held: the one snapshot ran its program once, at most one replay
+   computed per distinct (config, engine) pair sent, and every replay
+   or coverage request was a compute, a memo hit or a coalesced wait;
 6. SIGTERM the server and assert a clean graceful drain (exit 0,
    "drained cleanly" on stdout).
 
@@ -119,6 +122,25 @@ def check_engines_agree(port, sent):
              % (compiled["cycles"], via_objects["cycles"]))
 
 
+def check_single_flight(counters, sent):
+    """Each distinct replay answer computed once, one execution."""
+    if counters["service.executions"] != 1:
+        fail("the snapshot's program ran %d times, expected once"
+             % counters["service.executions"])
+    computes = counters["service.replay.computes"]
+    # Replays and coverage went out under (global_local, compiled) and
+    # (global_local, object) only.
+    if computes > 2:
+        fail("%d replay computes for 2 distinct (config, engine) pairs"
+             % computes)
+    answered = (computes + counters["service.replay.memo_hits"]
+                + counters["service.replay.coalesced"])
+    asked = sent["replay"] + sent["coverage"]
+    if answered != asked:
+        fail("computes+memo_hits+coalesced=%d but %d replay/coverage "
+             "requests were sent" % (answered, asked))
+
+
 def main():
     run_build()
     server, port = start_server()
@@ -160,6 +182,7 @@ def main():
             fail("only %d requests recorded" % requests)
         if counters["service.bytes_in"] <= 0 or counters["service.bytes_out"] <= 0:
             fail("byte counters not populated")
+        check_single_flight(counters, sent)
         timers = stats["metrics"]["timers"]
         replay_timer = timers.get("service.latency.replay", {})
         if replay_timer.get("count", 0) < 1 or replay_timer.get("seconds", 0.0) <= 0.0:

@@ -17,7 +17,7 @@ DBT's — the Section 4.1 effect.
 """
 
 from repro.cpu.events import EDGE_IND_CALL, EDGE_IND_JMP, EDGE_RET
-from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS
+from repro.cpu.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
 from repro.cpu.log import ExecutionLog
 from repro.dbt.cost import CostModel, CostParameters
 
@@ -154,9 +154,14 @@ def run_native(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS,
 
     Returns a :class:`PinResult`-shaped object so harness code can treat
     every configuration uniformly.  ``log`` is an optional
-    :class:`~repro.cpu.log.ExecutionLog` of this program and budget.
+    :class:`~repro.cpu.log.ExecutionLog` of this program and budget;
+    without one the interpreter runs bare, since only its
+    :class:`~repro.cpu.executor.ExecutionResult` is needed.
     """
-    result = ExecutionLog.resolve(log, program, max_instructions).result
+    if log is None:
+        result = Executor(program, max_instructions=max_instructions).run()
+    else:
+        result = ExecutionLog.resolve(log, program, max_instructions).result
     cost = CostModel(cost_params or CostParameters())
     cost.charge_instructions(result.instrs_pin)
     return PinResult(

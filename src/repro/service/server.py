@@ -17,6 +17,16 @@ Concurrency model
   ``run_in_executor``; the preloaded program image, trace set and TEA
   are shared read-only across workers (each replay builds its own
   directory, local caches and stats);
+- a replay answer is a pure function of (snapshot, config, engine,
+  batch), so each distinct answer is computed once: the first request
+  starts one compute task, identical requests — concurrent or later —
+  await it through ``asyncio.shield`` (a waiter's timeout never cancels
+  the shared compute), failures are never cached, and completed
+  answers stay in a bounded LRU (:data:`REPLAY_MEMO_LIMIT`);
+- each snapshot's program runs once: its
+  :class:`~repro.cpu.log.ExecutionLog` is recorded on the first replay
+  under a per-entry lock and shared by every later replay of that
+  snapshot, under any config or engine;
 - every request is bounded by ``request_timeout`` and every frame by
   ``max_payload`` — violations produce structured error replies
   (:mod:`repro.service.protocol` error codes), never a silent hangup;
@@ -31,6 +41,7 @@ per-method latency timers) and exported via the ``stats`` RPC.
 import asyncio
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import __version__
@@ -87,6 +98,12 @@ REPLAY_CONFIGS = {
 REPLAY_ENGINES = ("object", "compiled", "jit")
 DEFAULT_ENGINE = "compiled"
 
+#: Replay answers the memo keeps, completed or in flight.  ``batch``
+#: comes from the client, so the key space is unbounded without it; the
+#: least recently used completed answer goes first, an in-flight one
+#: never, and an evicted key simply recomputes the same answer.
+REPLAY_MEMO_LIMIT = 1024
+
 
 class ServiceSetupError(ReproError):
     """The service could not preload its snapshots."""
@@ -134,14 +151,14 @@ class SnapshotEntry:
     :class:`~repro.store.mapping.SnapshotMapping` their compiled tables
     view into (``mapping``); hot-reload retires an entry by flagging
     ``retired`` and closes the mapping once ``inflight`` — the number
-    of replay/diff requests currently using the entry, maintained on
-    the event loop — drains to zero.
+    of replay computes and diffs currently using the entry, maintained
+    on the event loop — drains to zero.
     """
 
     __slots__ = ("key", "meta", "label", "program", "block_index",
                  "trace_set", "tea", "compiled", "profile", "n_bytes",
-                 "mapping", "inflight", "retired",
-                 "_native_cycles", "_jit_codes", "_jit_lock")
+                 "mapping", "inflight", "retired", "native_cycles",
+                 "_log", "_log_lock", "_jit_codes", "_jit_lock")
 
     def __init__(self, key, meta, program, trace_set, tea, profile, n_bytes,
                  compiled=None, mapping=None):
@@ -158,7 +175,11 @@ class SnapshotEntry:
         self.mapping = mapping
         self.inflight = 0
         self.retired = False
-        self._native_cycles = None
+        #: Native-baseline cycles, set with the log by
+        #: :meth:`execution_log`.
+        self.native_cycles = None
+        self._log = None
+        self._log_lock = threading.Lock()
         # JIT codes are specialized per replay config, lazily, on the
         # worker threads — hence the lock (JitCode itself is immutable
         # and shared read-only once built).
@@ -178,6 +199,31 @@ class SnapshotEntry:
             with self._jit_lock:
                 code = self._jit_codes.setdefault(token, code)
         return code
+
+    def execution_log(self):
+        """``(log, recorded)``: the program's shared
+        :class:`~repro.cpu.log.ExecutionLog`, and whether this call
+        recorded it.
+
+        The first call runs the interpreter and derives
+        :attr:`native_cycles` from the same log; the lock makes
+        concurrent first replays share that one run.  Every replay of
+        the snapshot, under any config or engine, consumes the log
+        read-only.
+        """
+        with self._log_lock:
+            if self._log is not None:
+                return self._log, False
+            log = ExecutionLog.record(self.program)
+            self.native_cycles = run_native(self.program, log=log).cycles
+            self._log = log
+            return log, True
+
+    def close(self):
+        """Release a drained entry: its execution log and mapping."""
+        self._log = None
+        if self.mapping is not None:
+            self.mapping.close()
 
     def describe(self):
         return {
@@ -272,8 +318,9 @@ class TeaService:
         self._drain_hooks = []     # callables run as the drain begins
         self._stopped = None       # asyncio.Event, created in start()
         self._started_at = None
-        self._replay_memo = {}     # (key, config) -> result dict
-        self._replay_memo_lock = None
+        # (key, config, engine, batch) -> compute task, in LRU order;
+        # event-loop-confined, so it needs no lock.
+        self._replay_memo = OrderedDict()
         metrics = self.obs.metrics
         self._requests = metrics.counter("service.requests")
         self._ok = metrics.counter("service.ok")
@@ -283,6 +330,10 @@ class TeaService:
         self._connections = metrics.counter("service.connections")
         self._verify_ok = metrics.counter("service.verify_ok")
         self._verify_failed = metrics.counter("service.verify_failed")
+        self._replay_computes = metrics.counter("service.replay.computes")
+        self._replay_memo_hits = metrics.counter("service.replay.memo_hits")
+        self._replay_coalesced = metrics.counter("service.replay.coalesced")
+        self._executions = metrics.counter("service.executions")
         self._active = metrics.gauge("service.connections_active")
         self._active.set(0)
         self._methods = {
@@ -373,7 +424,6 @@ class TeaService:
         # I/O, mmap, verify-on-load) runs off the event loop — the
         # loop stays responsive while a large fleet loads (TEA080).
         self._stopped = asyncio.Event()
-        self._replay_memo_lock = asyncio.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="tea-replay"
         )
@@ -441,8 +491,7 @@ class TeaService:
                 task.cancel()
         self._pool.shutdown(wait=False)
         for entry in self.entries.values():
-            if entry.mapping is not None:
-                entry.mapping.close()
+            entry.close()
         self._stopped.set()
 
     # ------------------------------------------------------------------
@@ -463,12 +512,13 @@ class TeaService:
             self._finalize(entry)
 
     def _finalize(self, entry):
-        """Drop a drained retired entry's memoized results and mapping."""
+        """Drop a drained retired entry's memoized answers, log and
+        mapping.  Keys are content-addressed, so a reloaded key
+        recomputes the same answers."""
         for memo_key in [key for key in self._replay_memo
                          if key[0] == entry.key]:
             del self._replay_memo[memo_key]
-        if entry.mapping is not None:
-            entry.mapping.close()
+        entry.close()
 
     def _release(self, entry):
         """Count one in-flight request done (event-loop-confined)."""
@@ -743,29 +793,80 @@ class TeaService:
         return engine
 
     async def _rpc_replay(self, params):
+        """The replay answer for ``params``, computed once per distinct
+        (snapshot, config, engine, batch).
+
+        A miss starts one compute task and memoizes it; every identical
+        request, concurrent or later, awaits that task through
+        ``asyncio.shield``, so a waiter's ``request_timeout`` cancels
+        only its own wait.  Every waiter gets the same answer object.
+        """
         entry = self._resolve(params)
         name, factory = self._replay_config(params)
         engine = self._replay_engine(params)
         batch = params.get("batch")
         if batch is not None and (not isinstance(batch, int) or batch < 1):
             raise _BadParams("'batch' must be a positive integer")
+        memo_key = (entry.key, name, engine, batch)
+        task = self._replay_memo.get(memo_key)
+        if task is None:
+            self._replay_computes.inc()
+            # Counted in flight from now, not from the task's first
+            # step: a reload in between must not close the entry.
+            entry.inflight += 1
+            task = asyncio.ensure_future(self._compute_replay(
+                memo_key, entry, name, factory(), engine, batch))
+            task.add_done_callback(lambda _task: self._release(entry))
+            self._replay_memo[memo_key] = task
+            # The drain waits for it even after every waiter timed out.
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+        elif task.done():
+            self._replay_memo_hits.inc()
+            self._replay_memo.move_to_end(memo_key)
+        else:
+            self._replay_coalesced.inc()
+        return await asyncio.shield(task)
+
+    async def _compute_replay(self, memo_key, entry, name, config, engine,
+                              batch):
+        """Body of one memoized compute task.
+
+        It settles its own memo slot in the loop step that finishes the
+        task, so no request ever finds a finished failure there: a
+        failure leaves the memo (it is never cached), a success moves to
+        the LRU's young end.  A snapshot retired meanwhile purges the
+        slot once the task is done.
+        """
+        task = asyncio.current_task()
         loop = asyncio.get_event_loop()
-        entry.inflight += 1
         try:
-            result = await loop.run_in_executor(
-                self._pool, self._replay_blocking, entry, factory(), batch,
+            result, recorded = await loop.run_in_executor(
+                self._pool, self._replay_blocking, entry, config, batch,
                 engine,
             )
-        finally:
-            self._release(entry)
+        except BaseException:
+            if self._replay_memo.get(memo_key) is task:
+                del self._replay_memo[memo_key]
+            raise
+        if recorded:
+            self._executions.inc()
         result["snapshot"] = entry.key
         result["config"] = name
         result["engine"] = engine
-        async with self._replay_memo_lock:
-            if not entry.retired:
-                self._replay_memo.setdefault((entry.key, name, engine),
-                                             result)
+        if self._replay_memo.get(memo_key) is task:
+            self._replay_memo.move_to_end(memo_key)
+            self._evict_replay_answers()
         return result
+
+    def _evict_replay_answers(self):
+        """Drop least recently used completed answers over the limit."""
+        memo = self._replay_memo
+        for memo_key, task in list(memo.items()):
+            if len(memo) <= REPLAY_MEMO_LIMIT:
+                break
+            if task.done():
+                del memo[memo_key]
 
     async def _rpc_diff(self, params):
         """Structural diff between two loaded snapshots.
@@ -824,25 +925,25 @@ class TeaService:
         return result
 
     async def _rpc_coverage(self, params):
-        entry = self._resolve(params)
-        name, _ = self._replay_config(params)
-        engine = self._replay_engine(params)
-        async with self._replay_memo_lock:
-            memo = self._replay_memo.get((entry.key, name, engine))
-        if memo is None:
-            memo = await self._rpc_replay(params)
+        """The coverage subset of the replay answer for ``params``
+        (shares the replay's single-flight memo)."""
+        answer = await self._rpc_replay(params)
         return {
-            "snapshot": entry.key,
-            "config": name,
-            "engine": engine,
-            "coverage_pin": memo["coverage_pin"],
-            "coverage_dbt": memo["coverage_dbt"],
-            "covered_pin": memo["stats"]["covered_pin"],
-            "total_pin": memo["stats"]["total_pin"],
+            "snapshot": answer["snapshot"],
+            "config": answer["config"],
+            "engine": answer["engine"],
+            "coverage_pin": answer["coverage_pin"],
+            "coverage_dbt": answer["coverage_dbt"],
+            "covered_pin": answer["stats"]["covered_pin"],
+            "total_pin": answer["stats"]["total_pin"],
         }
 
     def _replay_blocking(self, entry, config, batch, engine):
-        """Worker-pool body: one full replay over a shared automaton."""
+        """Worker-pool body: one replay over the snapshot's shared log.
+
+        Returns ``(answer, recorded)``; ``recorded`` is true when this
+        replay ran the interpreter to record the log.
+        """
         jit = entry.jit_for(config) if engine == "jit" else None
         tool = TeaReplayTool(
             trace_set=entry.trace_set, config=config,
@@ -851,27 +952,20 @@ class TeaService:
                       else None),
             jit=jit,
         )
-        # One execution per request, shared with the native baseline;
-        # the log is dropped with the request, so preloaded snapshots
-        # cost no memory between replays.
-        log = ExecutionLog.record(entry.program)
+        log, recorded = entry.execution_log()
         result = Pin(entry.program, tool=tool).run(log)
-        stats = tool.stats.as_dict()
-        if entry._native_cycles is None:
-            # Benign race: concurrent firsts compute the same number.
-            entry._native_cycles = run_native(entry.program, log=log).cycles
-        native = entry._native_cycles
+        native = entry.native_cycles
         return {
             "coverage_pin": tool.stats.coverage(pin_counting=True),
             "coverage_dbt": tool.stats.coverage(pin_counting=False),
-            "stats": stats,
+            "stats": tool.stats.as_dict(),
             "cycles": result.cycles,
             "megacycles": result.megacycles,
             "native_cycles": native,
             "slowdown": (result.cycles / native) if native else 0.0,
             "states": entry.tea.n_states,
             "transitions": entry.tea.n_transitions,
-        }
+        }, recorded
 
     async def _rpc_step_batch(self, params):
         entry = self._resolve(params)

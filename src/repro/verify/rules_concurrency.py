@@ -78,7 +78,7 @@ class LockDiscipline(_ConcurrencyRule):
         "Lock discipline violation: awaiting while holding a "
         "threading.Lock, acquiring an asyncio.Lock without 'async "
         "with', or nesting locks against the documented order "
-        "(_PROCESS_LOCK < _jit_lock < _replay_memo_lock)."
+        "(_PROCESS_LOCK < _jit_lock < _log_lock)."
     )
     paper = "docs/audit.md (lock discipline)"
 

@@ -25,6 +25,7 @@ from repro.harness.tables import TABLES
 from repro.isa import assemble
 from repro.pin import Pin, TeaReplayTool, run_native
 from repro.traces.recorder import RecorderLimits
+from repro.workloads import load_benchmark
 from tests.test_fuzz_pipeline import random_programs
 
 #: Between them these cover every event kind the executor emits: REP
@@ -108,6 +109,24 @@ def test_shared_log_matches_fresh_log_per_engine(program, engine):
     assert shared.cost.breakdown == fresh.cost.breakdown
     assert shared.blocks == fresh.blocks
     assert shared_stats == fresh_stats
+
+
+@pytest.mark.parametrize("name", ["164.gzip", "183.equake"])
+def test_run_native_without_a_log_records_none(monkeypatch, name):
+    program = load_benchmark(name, scale=0.05).program
+    logged = run_native(program, BUDGET,
+                        log=ExecutionLog.record(program, BUDGET))
+
+    def no_recording(*args, **kwargs):
+        raise AssertionError("run_native recorded a log it did not need")
+
+    monkeypatch.setattr(ExecutionLog, "record", no_recording)
+    bare = run_native(program, BUDGET)
+    assert bare.cycles == logged.cycles
+    assert bare.cost.breakdown == logged.cost.breakdown
+    assert ((bare.instrs_dbt, bare.instrs_pin, bare.blocks, bare.halted)
+            == (logged.instrs_dbt, logged.instrs_pin, logged.blocks,
+                logged.halted))
 
 
 def test_benchmark_executes_once_and_its_log_is_released(monkeypatch):

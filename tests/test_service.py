@@ -7,7 +7,9 @@ the latency metrics populate, and a graceful shutdown answers every
 in-flight request before the listener dies.
 """
 
+import asyncio
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -15,10 +17,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import build_tea
+from repro.cpu.log import ExecutionLog
 from repro.dbt import StarDBT
 from repro.pin import Pin, TeaReplayTool, run_native
+from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
+    E_INTERNAL,
     E_METHOD,
     E_PARAMS,
     E_PARSE,
@@ -36,7 +41,11 @@ from repro.service.protocol import (
     result_reply,
     write_frame_blocking,
 )
-from repro.service.server import ServiceSetupError, TeaService
+from repro.service.server import (
+    REPLAY_CONFIGS,
+    ServiceSetupError,
+    TeaService,
+)
 from repro.service.testing import ServiceThread, ephemeral_config
 from repro.store import AutomatonStore
 from repro.traces.recorder import RecorderLimits
@@ -434,3 +443,260 @@ def test_requests_during_drain_get_shutting_down(world):
             late = client._receive(late_id)
             assert late["ok"] is False
             assert late["error"]["code"] == E_SHUTDOWN
+
+
+# ---------------------------------------------------------------------
+# single-flight memo and one execution per snapshot
+# ---------------------------------------------------------------------
+
+def _raw_reply(address, method, params):
+    """Send one request (id 1) on its own connection; return the reply
+    frame's payload bytes, undecoded."""
+    with socket.create_connection(address, timeout=60.0) as sock:
+        write_frame_blocking(
+            sock, {"id": 1, "method": method, "params": params}
+        )
+        with sock.makefile("rb") as stream:
+            (length,) = HEADER.unpack(stream.read(HEADER.size))
+            return stream.read(length)
+
+
+def _replay_counts(client):
+    counters = client.stats()["metrics"]["counters"]
+    return {
+        name: counters.get("service." + name, 0)
+        for name in ("replay.computes", "replay.memo_hits",
+                     "replay.coalesced", "executions")
+    }
+
+
+def _counts(computes, memo_hits, coalesced, executions):
+    return {"replay.computes": computes, "replay.memo_hits": memo_hits,
+            "replay.coalesced": coalesced, "executions": executions}
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _hold_computes(monkeypatch, service):
+    """Make every replay compute of ``service`` wait for the returned
+    event before it runs."""
+    release = threading.Event()
+    real = service._replay_blocking
+
+    def held(*args):
+        assert release.wait(timeout=60.0)
+        return real(*args)
+
+    monkeypatch.setattr(service, "_replay_blocking", held)
+    return release
+
+
+def test_concurrent_identical_replays_share_one_compute(world, monkeypatch):
+    params = {"snapshot": world.key, "config": "global_local"}
+    with ServiceThread(world.store) as service:
+        release = _hold_computes(monkeypatch, service.service)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            replies = [pool.submit(_raw_reply, service.address, "replay",
+                                   params) for _ in range(8)]
+            with service.client() as client:
+                _wait_until(lambda: _replay_counts(client)[
+                    "replay.coalesced"] == 7)
+                release.set()
+                frames = [reply.result(timeout=60.0) for reply in replies]
+                counts = _replay_counts(client)
+    assert counts == _counts(computes=1, memo_hits=0, coalesced=7,
+                             executions=1)
+    assert len(set(frames)) == 1
+    assert decode_payload(frames[0])["ok"] is True
+
+
+def test_repeat_replay_is_a_byte_identical_memo_hit(world):
+    params = {"snapshot": world.key, "config": "no_global_local"}
+    with ServiceThread(world.store) as service:
+        first = _raw_reply(service.address, "replay", params)
+        again = _raw_reply(service.address, "replay", params)
+        with service.client() as client:
+            counts = _replay_counts(client)
+    assert again == first
+    assert counts == _counts(computes=1, memo_hits=1, coalesced=0,
+                             executions=1)
+
+
+def test_one_execution_serves_every_config(world, monkeypatch):
+    compiled = world.store.get_compiled(world.key)
+    log = ExecutionLog.record(world.program)
+
+    def replay(service, name):
+        with service.client(timeout=120.0) as client:
+            return client.replay(snapshot=world.key, config=name)
+
+    # All four first replays start at once on the four workers (more
+    # than the cores), with frequent thread switches: a lost update on
+    # the shared log would show as a second execution.
+    interval = sys.getswitchinterval()
+    with ServiceThread(world.store) as service:
+        release = _hold_computes(monkeypatch, service.service)
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                pending = {name: pool.submit(replay, service, name)
+                           for name in REPLAY_CONFIGS}
+                with service.client() as client:
+                    _wait_until(lambda: _replay_counts(client)[
+                        "replay.computes"] == 4)
+                    release.set()
+                    served = {name: future.result(timeout=120.0)
+                              for name, future in pending.items()}
+                    counts = _replay_counts(client)
+        finally:
+            sys.setswitchinterval(interval)
+    assert counts == _counts(computes=4, memo_hits=0, coalesced=0,
+                             executions=1)
+    native = run_native(world.program).cycles
+    for name, factory in REPLAY_CONFIGS.items():
+        reference = TeaReplayTool(trace_set=world.trace_set, tea=world.tea,
+                                  config=factory(), engine="object")
+        Pin(world.program, tool=reference).run(log)
+        direct = TeaReplayTool(trace_set=world.trace_set, tea=world.tea,
+                               config=factory(), engine="compiled",
+                               compiled=compiled)
+        direct_result = Pin(world.program, tool=direct).run(log)
+        answer = served[name]
+        assert answer["stats"] == reference.stats.as_dict(), name
+        assert answer["coverage_pin"] == reference.coverage, name
+        assert answer["cycles"] == direct_result.cycles, name
+        assert answer["native_cycles"] == native, name
+
+
+def test_failed_compute_is_not_cached(world, monkeypatch):
+    with ServiceThread(world.store) as service:
+        real = service.service._replay_blocking
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("injected compute failure")
+            return real(*args)
+
+        monkeypatch.setattr(service.service, "_replay_blocking", fails_once)
+        with service.client(timeout=120.0) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.replay(snapshot=world.key)
+            assert excinfo.value.code == E_INTERNAL
+            assert "injected" in str(excinfo.value)
+            answer = client.replay(snapshot=world.key)
+            counts = _replay_counts(client)
+    assert answer["stats"]["blocks"] > 0
+    assert len(calls) == 2
+    assert counts == _counts(computes=2, memo_hits=0, coalesced=0,
+                             executions=1)
+
+
+def test_timed_out_waiter_does_not_cancel_the_shared_compute(
+        world, monkeypatch, shared_service):
+    params = {"snapshot": world.key, "config": "global_local"}
+    expected = _raw_reply(shared_service.address, "replay", params)
+    config = ephemeral_config(request_timeout=0.5, debug=True)
+    with ServiceThread(world.store, config=config) as service:
+        with service.client(timeout=60.0) as client:
+            # Record the snapshot's log first, so the held compute below
+            # is one quick replay once released.
+            client.replay(snapshot=world.key, config="global_no_local")
+            release = _hold_computes(monkeypatch, service.service)
+            with pytest.raises(ServiceError) as excinfo:
+                client.replay(**params)
+            assert excinfo.value.code == E_TIMEOUT
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                late = pool.submit(_raw_reply, service.address, "replay",
+                                   params)
+                _wait_until(lambda: _replay_counts(client)[
+                    "replay.coalesced"] == 1)
+                release.set()
+                frame = late.result(timeout=60.0)
+            counts = _replay_counts(client)
+    assert frame == expected
+    assert counts == _counts(computes=2, memo_hits=0, coalesced=1,
+                             executions=1)
+
+
+def test_batch_values_are_distinct_memo_keys(world):
+    with ServiceThread(world.store) as service:
+        with service.client(timeout=120.0) as client:
+            unbatched = client.replay(snapshot=world.key)
+            batched = client.replay(snapshot=world.key, batch=4)
+            again = client.replay(snapshot=world.key, batch=4)
+            counts = _replay_counts(client)
+    assert batched == again
+    assert batched["stats"] == unbatched["stats"]
+    assert counts == _counts(computes=2, memo_hits=1, coalesced=0,
+                             executions=1)
+
+
+def test_reload_retiring_a_snapshot_drops_its_answers_and_log(
+        world, tmp_path):
+    store = AutomatonStore(tmp_path / "store")
+    meta = {"benchmark": BENCHMARK, "scale": SCALE, "label": "world"}
+    key = store.put(world.trace_set, tea=world.tea, meta=meta)
+    with ServiceThread(store) as service:
+        with service.client(timeout=120.0) as client:
+            client.replay(snapshot=key)
+            client.coverage(snapshot=key, config="global_no_local")
+            server = service.service
+            entry = server.entries[key]
+            assert len(server._replay_memo) == 2
+            assert entry.execution_log()[1] is False   # already recorded
+            newer = store.put(world.trace_set, tea=world.tea,
+                              meta=dict(meta, supersedes=key))
+            reloaded = client.call("reload")
+            assert reloaded["retired"] == [key]
+            assert not any(memo_key[0] == key
+                           for memo_key in server._replay_memo)
+            assert entry._log is None
+            answer = client.replay(snapshot="world")
+    assert answer["snapshot"] == newer
+
+
+def test_retire_waits_for_a_compute_that_has_not_started(world, tmp_path):
+    store = AutomatonStore(tmp_path / "store")
+    key = store.put(world.trace_set, tea=world.tea, meta={
+        "benchmark": BENCHMARK, "scale": SCALE})
+    with ServiceThread(store) as service:
+        server = service.service
+        entry = server.entries[key]
+
+        async def replay_then_retire():
+            waiter = asyncio.ensure_future(
+                server._rpc_replay({"snapshot": key}))
+            await asyncio.sleep(0)     # the compute task exists, not run
+            server._retire(server.entries.pop(key))
+            retired_inflight = entry.inflight
+            return retired_inflight, await waiter
+
+        inflight, answer = asyncio.run_coroutine_threadsafe(
+            replay_then_retire(), service._loop).result(timeout=120.0)
+    assert inflight == 1
+    assert answer["stats"]["blocks"] > 0
+    assert not server._replay_memo
+    assert entry._log is None
+
+
+def test_evicted_answer_recomputes_identically(world, monkeypatch):
+    monkeypatch.setattr(server_module, "REPLAY_MEMO_LIMIT", 1)
+    first_params = {"snapshot": world.key, "config": "global_local"}
+    other_params = {"snapshot": world.key, "config": "no_global_no_local"}
+    with ServiceThread(world.store) as service:
+        first = _raw_reply(service.address, "replay", first_params)
+        _raw_reply(service.address, "replay", other_params)
+        assert len(service.service._replay_memo) == 1
+        again = _raw_reply(service.address, "replay", first_params)
+        with service.client() as client:
+            counts = _replay_counts(client)
+    assert again == first
+    assert counts == _counts(computes=3, memo_hits=0, coalesced=0,
+                             executions=1)
